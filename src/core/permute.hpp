@@ -322,14 +322,31 @@ void find_cycles(std::uint64_t m, PermFn perm,
   }
 }
 
+/// Hints the `bytes`-byte sub-row of row `row` in a column group whose
+/// rows start at `base` and lie n elements apart.  The row must be inside
+/// the m-row matrix: forming a pointer past it is UB even though the hint
+/// itself cannot fault.  always_inline for the reason given on
+/// kernels::prefetch_read.
+template <typename T>
+[[gnu::always_inline]] inline void prefetch_subrow(
+    const T* base, std::uint64_t row, [[maybe_unused]] std::uint64_t m,
+    std::uint64_t n, std::size_t bytes) {
+  INPLACE_CHECK(row < m, "sub-row prefetch past the last matrix row");
+  kernels::prefetch_span(base + row * n, bytes);
+}
+
 /// Applies the row permutation (gather dst[i] = src[P(i)]) to the width-wide
 /// column group starting at column j0, by following the precomputed cycles
 /// and moving width-element sub-rows through `tmp` (width elements).
 ///
 /// The cycle hops visit rows in permutation order — exactly the random
-/// stride pattern hardware prefetchers miss — so the loop evaluates the
-/// permutation one hop ahead (kernels::subrow_prefetch_hops) and
-/// prefetches the next source sub-row while the current one copies.
+/// stride pattern hardware prefetchers miss.  A column slice (width < n)
+/// therefore walks the cycle kernels::subrow_prefetch_window hops ahead of
+/// the moves through a small ring of upcoming sources, hinting each
+/// source's whole sub-row as it enters the ring; perm still runs once per
+/// hop, and every hinted row is one the walk then moves.  Whole-row
+/// sweeps (width == n) keep a one-hop, one-line hint: hardware prefetchers
+/// already stream the rest of a contiguous row.
 /// With a kernel set, sub-row moves of trivially copyable elements go
 /// through the tier's copy/stream_subrow kernels; `stream` selects
 /// unfenced non-temporal stores (one fence() published at the end).
@@ -364,24 +381,43 @@ void permute_rows_in_group(T* a, std::uint64_t n, std::uint64_t j0,
     }
     std::copy(src, src + width, dst);
   };
+  constexpr std::uint64_t ring_size = kernels::subrow_prefetch_window;
+  static_assert((ring_size & (ring_size - 1)) == 0,
+                "the prefetch ring indexes by mask");
+  const bool strided = width < n;
+  const std::uint64_t depth = strided ? ring_size : 1;
+  const std::size_t hint_bytes = strided ? sub_bytes : 1;
+  T* base = a + j0;
+  std::uint64_t ring[ring_size] = {};
   for (const std::uint64_t y : cycle_starts) {
-    T* base = a + j0;
     save(tmp, base + y * n);
+    // `next` runs `depth` hops ahead of the moves; the ring holds the
+    // sources in between, oldest at `head`.
+    std::uint64_t next = perm(y);
+    std::uint64_t head = 0;
+    std::uint64_t queued = 0;
+    const auto enqueue = [&] {
+      if (next == y) {
+        return;  // the cycle closes through tmp
+      }
+      kernels::prefetch_span(base + next * n, hint_bytes);
+      ring[(head + queued) & (ring_size - 1)] = next;
+      ++queued;
+      next = perm(next);
+    };
+    while (queued < depth && next != y) {
+      enqueue();
+    }
     std::uint64_t i = y;
-    std::uint64_t s = perm(i);
-    for (;;) {
-      if (s == y) {
-        move(base + i * n, tmp);
-        break;
-      }
-      const std::uint64_t s_next = perm(s);
-      if (s_next != y) {
-        kernels::prefetch_read(base + s_next * n);
-      }
+    while (queued != 0) {
+      const std::uint64_t s = ring[head];
+      head = (head + 1) & (ring_size - 1);
+      --queued;
+      enqueue();
       move(base + i * n, base + s * n);
       i = s;
-      s = s_next;
     }
+    move(base + i * n, tmp);
   }
   if constexpr (use_kernels) {
     if (ks != nullptr && stream) {

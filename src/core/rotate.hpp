@@ -45,10 +45,13 @@ void rotate_column_naive(T* a, std::uint64_t m, std::uint64_t n,
 /// There are gcd(m, k) cycles of length m / gcd(m, k) each.
 ///
 /// The hop stride is the constant k rows — large and regular, but beyond
-/// most hardware prefetchers' reach — so each hop prefetches the next
-/// source sub-row.  With a kernel set and `stream`, the sub-row stores go
-/// non-temporal (their lines are dead until the next pass); the function
-/// publishes them with one fence() before returning.
+/// most hardware prefetchers' reach.  A column slice (width < n) hints the
+/// whole sub-row of row (s + W·k) mod m while moving source s, W =
+/// kernels::subrow_prefetch_window; whole-row sweeps (width == n, e.g.
+/// perm_engine's juggling rotation) hint one line of the next source.
+/// With a kernel set and `stream`, the sub-row stores go non-temporal
+/// (their lines are dead until the next pass); the function publishes
+/// them with one fence() before returning.
 template <typename T>
 void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
                          std::uint64_t j0, std::uint64_t width,
@@ -70,6 +73,16 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
     }
     std::copy(src, src + width, dst);
   };
+  const bool strided = width < n;
+  const std::uint64_t depth = strided ? kernels::subrow_prefetch_window : 1;
+  const std::size_t hint_bytes = strided ? sub_bytes : 1;
+  std::uint64_t lead = 0;  // depth * k mod m: the hinted row's offset from s
+  for (std::uint64_t d = 0; d < depth; ++d) {
+    lead += k;
+    if (lead >= m) {
+      lead -= m;
+    }
+  }
   T* base = a + j0;
   const std::uint64_t z = std::gcd(m, k);
   for (std::uint64_t y = 0; y < z; ++y) {
@@ -84,13 +97,11 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
         move(base + i * n, subrow_tmp, /*to_matrix=*/true);
         break;
       }
-      std::uint64_t s_next = s + k;
-      if (s_next >= m) {
-        s_next -= m;
+      std::uint64_t ahead = s + lead;
+      if (ahead >= m) {
+        ahead -= m;
       }
-      if (s_next != y) {
-        kernels::prefetch_read(base + s_next * n);
-      }
+      prefetch_subrow(base, ahead, m, n, hint_bytes);
       move(base + i * n, base + s * n, /*to_matrix=*/true);
       i = s;
     }
@@ -116,6 +127,10 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
 /// res*n + jj stripes at row indices >= i; within the row, res[jj']=0
 /// lanes read slot jj' itself, gathered before the block's store).  The
 /// wrapped tail rows [m - max_res, m) keep the scalar head-buffer loop.
+/// Row i's gather reads rows [i, i + max_res], so on a column slice
+/// (width < n) the kernel sweep hints the sub-row of row i + max_res + W
+/// (W = kernels::subrow_prefetch_window) while that row is < m; whole-row
+/// sweeps leave contiguous rows to the hardware prefetchers.
 /// `stream` selects non-temporal row stores (the pass is a pure
 /// streaming sweep; lines are dead until the next pass), published with
 /// one fence() before returning.
@@ -149,7 +164,15 @@ void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
         idx[jj] = res[jj] * n + jj;
       }
       const std::uint64_t unwrapped = m - max_res;
+      const bool strided = width < n;
+      const std::size_t sub_bytes =
+          static_cast<std::size_t>(width) * sizeof(T);
       for (; i < unwrapped; ++i) {
+        const std::uint64_t ahead =
+            i + max_res + kernels::subrow_prefetch_window;
+        if (strided && ahead < m) {
+          prefetch_subrow(base, ahead, m, n, sub_bytes);
+        }
         T* row = base + i * n;
         kernels::gather_index(*ks, row, row, idx,
                               static_cast<std::size_t>(width), stream);

@@ -128,65 +128,6 @@ void rotate_all_parallel(T* a, std::uint64_t m, std::uint64_t n,
   }
 }
 
-/// Parallel row shuffle: each row gathers through its own scratch line.
-template <typename T, typename IndexFn>
-void shuffle_rows_parallel(T* a, std::uint64_t m, std::uint64_t n,
-                           IndexFn idx, workspace_pool<T>& pool) {
-  const auto rows = static_cast<std::int64_t>(m);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
-    const auto i = static_cast<std::uint64_t>(ii);
-    row_gather_inplace(a + i * n, n, pool.local().line.data(),
-                       [&](std::uint64_t j) { return idx(i, j); });
-  }
-}
-
-/// Parallel row shuffle, scatter form.  The scratch line is cache
-/// resident, so the scatter costs the same memory traffic as the gather
-/// while the C2R index function d' (Eq. 24) is far cheaper to evaluate
-/// than its modular inverse d'^-1 (Eq. 31).
-template <typename T, typename IndexFn>
-void shuffle_rows_scatter_parallel(T* a, std::uint64_t m, std::uint64_t n,
-                                   IndexFn idx, workspace_pool<T>& pool) {
-  const auto rows = static_cast<std::int64_t>(m);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
-    const auto i = static_cast<std::uint64_t>(ii);
-    row_scatter_inplace(a + i * n, n, pool.local().line.data(),
-                        [&](std::uint64_t j) { return idx(i, j); });
-  }
-}
-
-/// Parallel whole-array row permutation (gather dst[i] = src[perm(i)]):
-/// cycles are discovered once, then every width-wide column group replays
-/// them independently (Section 4.7).
-template <typename T, typename PermFn>
-void permute_rows_parallel(T* a, std::uint64_t m, std::uint64_t n,
-                           std::uint64_t width, PermFn perm,
-                           workspace_pool<T>& pool) {
-  auto& ws0 = pool.front();
-  find_cycles(m, perm, ws0.visited, ws0.cycle_starts);
-  if (ws0.cycle_starts.empty()) {
-    return;
-  }
-  const std::vector<std::uint64_t>& cycles = ws0.cycle_starts;
-  const auto groups =
-      static_cast<std::int64_t>((n + width - 1) / width);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 4)
-#endif
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
-    const std::uint64_t w = std::min(width, n - j0);
-    permute_rows_in_group(a, n, j0, w, perm, cycles,
-                          pool.local().subrow.data());
-  }
-}
-
 /// Whether the kernel layer should run row i's d' shuffle, and the
 /// segment geometry it needs.  Row i's index stream d'_i(j) is piecewise
 /// affine: within each of the c segments of length b = n/c, advance()

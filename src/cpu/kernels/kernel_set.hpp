@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "cpu/kernels/tier.hpp"
 
@@ -114,15 +115,45 @@ struct kernel_set {
 /// Software prefetch hints for the irregular streams the hardware
 /// prefetchers miss (cycle-following hops, wrapped gathers).  Compile to
 /// prefetcht0 / prfm on the vector tiers and to nothing where unsupported.
-inline void prefetch_read(const void* p) { __builtin_prefetch(p, 0, 3); }
-inline void prefetch_write(void* p) { __builtin_prefetch(p, 1, 3); }
+///
+/// Every hint helper is always_inline, and so must be any wrapper whose
+/// only effect is a hint: GCC's pure-const analysis treats
+/// __builtin_prefetch as side-effect free, marks an out-of-line function
+/// that only prefetches `const`, and then deletes every call to it.
+[[gnu::always_inline]] inline void prefetch_read(const void* p) {
+  __builtin_prefetch(p, 0, 3);
+}
+[[gnu::always_inline]] inline void prefetch_write(void* p) {
+  __builtin_prefetch(p, 1, 3);
+}
 
-/// Distance (in cycle-following hops) the engines prefetch ahead of the
-/// current sub-row move.  One hop of lookahead already covers the DRAM
-/// latency of the next random row while the current line-sized copy
-/// retires; deeper lookahead re-evaluates the permutation without
-/// measurable gain (bench/ablation_kernels).
-inline constexpr int subrow_prefetch_hops = 1;
+/// Cache-line granularity of the prefetch hints.
+inline constexpr std::size_t prefetch_line_bytes = 64;
+
+/// Read hint for every cache line of [p, p + bytes).  Every address it
+/// forms lies inside the span: the first k lines are hinted at p + k*line
+/// and the last at p + bytes - 1, so one hint per line touched.
+[[gnu::always_inline]] inline void prefetch_span(const void* p,
+                                                std::size_t bytes) {
+  if (bytes == 0) {
+    return;
+  }
+  const auto* c = static_cast<const char*>(p);
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const std::size_t extra_lines = (addr + bytes - 1) / prefetch_line_bytes -
+                                  addr / prefetch_line_bytes;
+  for (std::size_t k = 0; k < extra_lines; ++k) {
+    prefetch_read(c + k * prefetch_line_bytes);
+  }
+  prefetch_read(c + bytes - 1);
+}
+
+/// Depth (in cycle-following hops, or rows of a rotation sweep) of the
+/// software prefetch window on the strided sub-row sweeps.  Rows of a
+/// column slice lie n * sizeof(T) bytes apart — beyond any hardware
+/// prefetcher — so each sweep hints a whole sub-row this many moves
+/// ahead, which keeps several DRAM misses in flight per thread.
+inline constexpr std::uint64_t subrow_prefetch_window = 8;
 
 /// The best tier the running CPU supports among those compiled into this
 /// binary (cpuid/xgetbv on x86-64, baseline NEON on aarch64).  Cached
@@ -191,9 +222,11 @@ struct cache_sizes {
 
 // --- typed convenience wrappers used by the engine templates ---------------
 
-/// True when sizeof(T) has a vectorizable gather/scatter lane width.
+/// True when T can ride the gather/scatter kernels' 4/8-byte lanes:
+/// trivially copyable (the kernels move raw bits) with a lane width.
 template <typename T>
-inline constexpr bool has_gather_lanes = sizeof(T) == 4 || sizeof(T) == 8;
+inline constexpr bool has_gather_lanes =
+    std::is_trivially_copyable_v<T> && (sizeof(T) == 4 || sizeof(T) == 8);
 
 /// Minimum bytes per streamed copy: each self-fencing stream() pays an
 /// sfence, so tiny copies (the skinny engine's whole "rows" can be one

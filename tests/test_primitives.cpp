@@ -2,15 +2,20 @@
 // core/rotate.hpp) against brute-force models: row gathers/scatters,
 // column gathers, cycle discovery and replay, coarse/fine/naive rotation
 // equivalence, the window-normalization logic, and the fallback path for
-// amount functions that violate the sub-row window assumption.
+// amount functions that violate the sub-row window assumption, and the
+// strided sub-row sweeps with a real kernel set and their prefetch window.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "core/permute.hpp"
 #include "core/rotate.hpp"
+#include "cpu/kernels/kernel_set.hpp"
 #include "util/aligned.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -201,6 +206,207 @@ TEST(Primitives, WorkspaceReserveSizes) {
   EXPECT_EQ(ws.subrow.size(), 8u);
   EXPECT_EQ(ws.visited.size(), 100u);
   EXPECT_EQ(ws.offsets.size(), 8u);
+}
+
+// --- strided sub-row sweeps with a real kernel set ------------------------
+//
+// The engines call the three sub-row sweeps on column slices (width < n)
+// with the plan's kernel set; these tests do the same, with streaming off
+// and on, over every group of a row (the last one ends at n and is not a
+// whole number of cache lines wide), and check each column against the
+// per-column reference primitives.
+
+// Non-trivially-copyable element: the sweeps must take the std::copy path
+// even when handed a kernel set.
+struct boxed {
+  std::uint64_t v = 0;
+  boxed() = default;
+  explicit boxed(std::uint64_t x) : v(x) {}
+  boxed(const boxed& o) : v(o.v) {}
+  boxed& operator=(const boxed& o) {
+    v = o.v;
+    return *this;
+  }
+  bool operator==(const boxed& o) const { return v == o.v; }
+};
+static_assert(!std::is_trivially_copyable_v<boxed>);
+
+constexpr std::uint64_t kWindow = kernels::subrow_prefetch_window;
+constexpr std::uint64_t kCols = 29;  // prime: no group width divides it
+
+// Scalar plus the native tier when it differs.
+std::vector<const kernels::kernel_set*> real_kernel_sets() {
+  std::vector<const kernels::kernel_set*> sets{
+      &kernels::set_for(kernels::tier::scalar)};
+  const kernels::kernel_set& native =
+      kernels::set_for(kernels::native_tier());
+  if (native.t != kernels::tier::scalar) {
+    sets.push_back(&native);
+  }
+  return sets;
+}
+
+template <typename T>
+std::vector<T> index_matrix(std::uint64_t m, std::uint64_t n) {
+  std::vector<T> a;
+  a.reserve(m * n);
+  for (std::uint64_t i = 0; i < m * n; ++i) {
+    a.push_back(static_cast<T>(i));
+  }
+  return a;
+}
+
+// Calls fn(j0, w) for each width-wide group of an n-column row; the last
+// group is narrower when width does not divide n.
+template <typename Fn>
+void for_each_group(std::uint64_t n, std::uint64_t width, Fn fn) {
+  for (std::uint64_t j0 = 0; j0 < n; j0 += width) {
+    fn(j0, std::min(width, n - j0));
+  }
+}
+
+// Gather map on m rows made of cycles of the given lengths over shuffled
+// row labels; the rows left over are fixed points.
+std::vector<std::uint64_t> cycle_perm(std::uint64_t m,
+                                      const std::vector<std::uint64_t>& lens,
+                                      std::uint64_t seed) {
+  util::xoshiro256 rng(seed);
+  std::vector<std::uint64_t> label(m);
+  std::iota(label.begin(), label.end(), std::uint64_t{0});
+  for (std::uint64_t i = m; i > 1; --i) {
+    std::swap(label[i - 1], label[rng.uniform(0, i)]);
+  }
+  std::vector<std::uint64_t> p(m);
+  std::iota(p.begin(), p.end(), std::uint64_t{0});
+  std::uint64_t at = 0;
+  for (const std::uint64_t len : lens) {
+    for (std::uint64_t t = 0; t < len; ++t) {
+      p[label[at + t]] = label[at + (t + 1) % len];
+    }
+    at += len;
+  }
+  return p;
+}
+
+template <typename T>
+class StridedSweeps : public ::testing::Test {};
+using SweepTypes = ::testing::Types<std::uint32_t, double, boxed>;
+TYPED_TEST_SUITE(StridedSweeps, SweepTypes);
+
+TYPED_TEST(StridedSweeps, PermuteRowsInGroupMatchesColumnGather) {
+  using T = TypeParam;
+  // Cycles of length 2, below, at and above the window, plus fixed points.
+  const std::vector<std::uint64_t> lens{2, kWindow - 3, kWindow, kWindow + 1,
+                                        2 * kWindow + 5};
+  const std::uint64_t m =
+      std::accumulate(lens.begin(), lens.end(), std::uint64_t{0}) + 4;
+  const auto table = cycle_perm(m, lens, 41);
+  const auto perm = [&](std::uint64_t i) { return table[i]; };
+  std::vector<std::uint8_t> visited(m);
+  std::vector<std::uint64_t> cycles;
+  find_cycles(m, perm, visited, cycles);
+  ASSERT_EQ(cycles.size(), lens.size());
+
+  auto want = index_matrix<T>(m, kCols);
+  util::aligned_vector<T> line(m);
+  for (std::uint64_t j = 0; j < kCols; ++j) {
+    column_gather_inplace(want.data(), m, kCols, j, line.data(), perm);
+  }
+  util::aligned_vector<T> sub(kCols);
+  for (const kernels::kernel_set* ks : real_kernel_sets()) {
+    for (const bool stream : {false, true}) {
+      for (const std::uint64_t width : {std::uint64_t{16}, std::uint64_t{6},
+                                        kCols}) {
+        auto a = index_matrix<T>(m, kCols);
+        for_each_group(kCols, width, [&](std::uint64_t j0, std::uint64_t w) {
+          permute_rows_in_group(a.data(), kCols, j0, w, perm, cycles,
+                                sub.data(), ks, stream);
+        });
+        ASSERT_TRUE(a == want) << kernels::tier_name(ks->t)
+                               << " stream=" << stream << " width=" << width;
+      }
+    }
+  }
+}
+
+TYPED_TEST(StridedSweeps, FineRotateMatchesNaive) {
+  using T = TypeParam;
+  util::xoshiro256 rng(42);
+  // m around max_res + window, where the sweep's prefetch must stop at
+  // row m - 1, and well past it.
+  for (const std::uint64_t m :
+       {std::uint64_t{3}, std::uint64_t{9}, kWindow + 3, kWindow + 4,
+        kWindow + 5, std::uint64_t{40}}) {
+    for (const std::uint64_t width : {std::uint64_t{16}, std::uint64_t{6},
+                                      kCols}) {
+      for (const std::uint64_t target : {1, 3, 4, 15}) {
+        // Residuals per column; each group's first column carries its
+        // largest residual, clipped below min(w, m).
+        std::vector<std::uint64_t> res(kCols);
+        for_each_group(kCols, width, [&](std::uint64_t j0, std::uint64_t w) {
+          const std::uint64_t top = std::min(target, std::min(w, m) - 1);
+          for (std::uint64_t jj = 0; jj < w; ++jj) {
+            res[j0 + jj] = jj == 0 ? top : rng.uniform(0, top + 1);
+          }
+        });
+        auto want = index_matrix<T>(m, kCols);
+        std::vector<T> line(m);
+        for (std::uint64_t j = 0; j < kCols; ++j) {
+          rotate_column_naive(want.data(), m, kCols, j, res[j], line.data());
+        }
+        util::aligned_vector<T> head(width * width);
+        util::aligned_vector<std::uint64_t> idx(width);
+        for (const kernels::kernel_set* ks : real_kernel_sets()) {
+          for (const bool stream : {false, true}) {
+            auto a = index_matrix<T>(m, kCols);
+            for_each_group(kCols, width,
+                           [&](std::uint64_t j0, std::uint64_t w) {
+                             fine_rotate_group(a.data(), m, kCols, j0, w,
+                                               res.data() + j0, head.data(),
+                                               ks, idx.data(), stream);
+                           });
+            ASSERT_TRUE(a == want)
+                << kernels::tier_name(ks->t) << " stream=" << stream
+                << " m=" << m << " width=" << width << " target=" << target;
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(StridedSweeps, CoarseRotateMatchesNaive) {
+  using T = TypeParam;
+  for (const std::uint64_t m : {std::uint64_t{5}, std::uint64_t{12},
+                                2 * kWindow, std::uint64_t{37}}) {
+    // Cycle lengths m / gcd(m, k) from 2 up to m, below, at and above the
+    // window.
+    for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2},
+                                  m / 2, m - 1, 3 * m / 8}) {
+      auto want = index_matrix<T>(m, kCols);
+      std::vector<T> line(m);
+      for (std::uint64_t j = 0; j < kCols; ++j) {
+        rotate_column_naive(want.data(), m, kCols, j, k, line.data());
+      }
+      util::aligned_vector<T> sub(kCols);
+      for (const kernels::kernel_set* ks : real_kernel_sets()) {
+        for (const bool stream : {false, true}) {
+          for (const std::uint64_t width :
+               {std::uint64_t{16}, std::uint64_t{6}, kCols}) {
+            auto a = index_matrix<T>(m, kCols);
+            for_each_group(kCols, width,
+                           [&](std::uint64_t j0, std::uint64_t w) {
+                             coarse_rotate_group(a.data(), m, kCols, j0, w, k,
+                                                 sub.data(), ks, stream);
+                           });
+            ASSERT_TRUE(a == want)
+                << kernels::tier_name(ks->t) << " stream=" << stream
+                << " m=" << m << " k=" << k << " width=" << width;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
