@@ -175,11 +175,13 @@ int main(int argc, char** argv) {
       verdicts_ok = false;
       continue;
     }
-    // The foil: identical pi, identical plan, kind flipped to generic so
-    // the cycle-leader executor runs it (the public API always
+    // The foil: identical pi, identical plan, verdict replaced by pi's
+    // generic one (kind and content hash, which checked builds verify)
+    // so the cycle-leader executor runs it (the public API always
     // classifies, so this is the only way to force the comparison).
     perm_plan generic_plan = plan;
-    generic_plan.kind = perm_kind::generic;
+    static_cast<perm_verdict&>(generic_plan) =
+        detail::scan_permutation(pis, /*structured=*/false);
 
     std::vector<double> buf(static_cast<std::size_t>(n));
     permuter<double> fast(plan, opts, buf.data());

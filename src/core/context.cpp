@@ -38,6 +38,17 @@ std::size_t context_key_hash::operator()(
     mix(k.nd_dims[a]);
   }
   mix((std::uint64_t{k.nd_rank} << 32) | std::uint64_t{k.nd_perm});
+  // permute identity: only permute keys carry a non-default verdict, so
+  // the other modes' hashes (and their shard spread) do not depend on it.
+  if (k.perm != perm_verdict{}) {
+    mix(static_cast<std::uint64_t>(k.perm.kind));
+    mix(k.perm.rot_k);
+    mix(k.perm.log2n);
+    mix(k.perm.t2d_rows);
+    mix(k.perm.t2d_cols);
+    mix(k.perm.fingerprint_lo);
+    mix(k.perm.fingerprint_hi);
+  }
   return static_cast<std::size_t>(h);
 }
 

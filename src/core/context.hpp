@@ -184,6 +184,9 @@ struct context_key {
   std::uint32_t nd_perm = 0;
   std::uint8_t nd_rank = 0;
 
+  /// permute identity (default elsewhere): the classifier's verdict.
+  perm_verdict perm{};
+
   friend bool operator==(const context_key&, const context_key&) = default;
 };
 
@@ -337,7 +340,7 @@ class transpose_context {
   /// the library owns — rotation juggling, the COBRA bit-reversal
   /// kernel, the 2-D transpose engines for i*a mod (n-1) perms, or the
   /// memoized generic cycle-leader scan — and the resolved permuter<T>
-  /// arena is cached under (n, direction, content fingerprint), so
+  /// arena is cached under (n, direction, classifier verdict), so
   /// repeated applications of one permutation skip scratch allocation
   /// and cycle discovery.  Every path records telemetry, including the
   /// empty and identity early returns.
@@ -378,14 +381,13 @@ class transpose_context {
     key.strength_reduction = opts.strength_reduction;
     key.threads = opts.threads;
     key.block_bytes = opts.block_bytes;
-    // The permutation's *content* fingerprint rides in the first two
-    // nd_dims slots (zero for every other mode; the classifier's finals
-    // are never zero), so two different permutations of one length can
-    // never alias one cached arena.  The index type is deliberately not
-    // part of the key: the arena is content-addressed and its execute
-    // accepts any integral I.
-    key.nd_dims[0] = plan.fingerprint_lo;
-    key.nd_dims[1] = plan.fingerprint_hi;
+    // The classifier's verdict keys the arena: exact (kind, parameters)
+    // for a structured pi, the 128-bit content hash for a generic one —
+    // so two different permutations of one length never alias one
+    // cached arena.  The index type is deliberately not part of the key:
+    // the verdict depends only on the values, and execute accepts any
+    // integral I.
+    key.perm = plan.verdict();
 
     run_cached<permuter<T>>(
         key, [&] { return new permuter<T>(plan, opts, data); },

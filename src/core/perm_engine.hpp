@@ -225,8 +225,8 @@ class permuter {
 
   /// Applies the planned permutation to `data` in place.  `pi` must be
   /// the permutation the plan was built from (same length and content —
-  /// checked mode re-fingerprints it); `from_cache` is the telemetry
-  /// provenance flag transpose_context sets on arena reuse.
+  /// checked mode re-runs the classifier scan on it); `from_cache` is the
+  /// telemetry provenance flag transpose_context sets on arena reuse.
   template <typename I>
   void execute(T* data, std::span<const I> pi, bool from_cache) {
     static_assert(std::is_integral_v<I>,
@@ -250,18 +250,14 @@ class permuter {
     // injected entry fault must leave the buffer untouched.
     INPLACE_FAILPOINT("perm.exec.begin");
 #if INPLACE_CHECKS_ENABLED
-    {
-      detail::perm_fnv f;
-      for (std::uint64_t i = 0; i < plan_.n; ++i) {
-        f.feed(static_cast<std::uint64_t>(pi[static_cast<std::size_t>(i)]),
-               i);
-      }
-      INPLACE_REQUIRE(f.final_lo() == plan_.fingerprint_lo &&
-                          f.final_hi() == plan_.fingerprint_hi,
-                      "permutation content does not match the plan's "
-                      "fingerprint — this plan was built from a "
-                      "different pi");
-    }
+    // The classifier scan again: a structured plan must find the same
+    // kind and parameters, a generic one the same content hash (its
+    // executor runs any pi, so the candidates are skipped).
+    INPLACE_REQUIRE(detail::scan_permutation(
+                        pi, plan_.kind != perm_kind::generic) ==
+                        plan_.verdict(),
+                    "permutation does not match the plan's verdict — this "
+                    "plan was built from a different pi");
 #endif
     detail::note_perm_record<T>(plan_, block_width_hint(), from_cache);
     INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,

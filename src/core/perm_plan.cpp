@@ -1,15 +1,14 @@
-// Non-template classifier core for the general permutation engine.  One
-// O(n) scan validates every index and tests all structured candidates
-// (identity, rotation, bit-reversal, Catanzaro-C2R/transpose2d) at once;
-// whatever survives the scan wins in specificity order, and everything
-// else lands on the generic cycle-leader executor.
+// Non-template half of the permutation classifier.  The scan itself is a
+// template in perm_plan.hpp, instantiated for the caller's index type so
+// it reads pi directly and its block comparisons vectorize; this file
+// holds what does not depend on that type: the planning failpoint, the
+// out-of-range error, and the executor choices derived from a verdict.
 //
 // Compiled with INPLACE_FAILPOINTS=1 (src/CMakeLists.txt): planning is
 // cold, and the rollback tests need a provably pre-mutation fault site.
 
 #include "core/perm_plan.hpp"
 
-#include <bit>
 #include <string>
 
 #include "core/errors.hpp"
@@ -43,97 +42,29 @@ std::uint64_t cobra_tile_bits(std::uint64_t w, std::size_t elem_size) {
 
 }  // namespace
 
-perm_plan classify_permutation(std::uint64_t n, perm_index_fn get,
-                               const void* pi, bool inverse,
-                               const options& opts, std::size_t elem_size) {
+void perm_classify_begin() {
   // Fires before pi is even read: an injected planning fault must leave
   // both the data buffer and the permutation untouched.
   INPLACE_FAILPOINT("perm.plan.classify");
+}
 
+void throw_perm_out_of_range(std::uint64_t i, std::uint64_t v,
+                             std::uint64_t n) {
+  throw error("inplace: permutation entry out of range: pi[" +
+              std::to_string(i) + "] = " + std::to_string(v) +
+              " with n = " + std::to_string(n));
+}
+
+perm_plan plan_from_verdict(const perm_verdict& v, std::uint64_t n,
+                            bool inverse, const options& opts,
+                            std::size_t elem_size) {
   perm_plan plan;
+  static_cast<perm_verdict&>(plan) = v;
   plan.n = n;
   plan.inverse = inverse;
   plan.ktier = kernels::resolve_tier(opts.kernel);
-
-  if (n == 0) {
-    plan.kind = perm_kind::identity;
-    perm_fnv f;
-    plan.fingerprint_lo = f.final_lo();
-    plan.fingerprint_hi = f.final_hi();
-    return plan;
-  }
-
-  // Structured candidates, all falsified by the single scan below.  The
-  // specificity order on survivors is identity > rotation > bit_reversal
-  // > transpose2d > generic (the 2x2-log case n = 4, a = 2 satisfies
-  // both bit-reversal and transpose2d; COBRA wins).
-  bool identity = true;
-  const std::uint64_t rot_k = get(pi, 0);
-  bool rotation = rot_k < n;
-  const bool pow2 = std::has_single_bit(n);
-  const std::uint64_t w =
-      pow2 ? static_cast<std::uint64_t>(std::countr_zero(n)) : 0;
-  bool bitrev_ok = pow2;
-  // transpose2d: pi[i] = i*a mod (n-1) is the C2R gather of an
-  // (n/a) x a matrix (Catanzaro Eq. 2 with cols = a); both factors must
-  // be >= 2 for the 2-D engines to have anything to chew on.
-  const std::uint64_t a = n >= 4 ? get(pi, 1) : 0;
-  bool t2d = n >= 4 && a >= 2 && a < n && n % a == 0 && n / a >= 2;
-
-  // Both structured expectations advance incrementally so the scan stays
-  // O(1) per element: `rv` is perm_bitrev(i, w) maintained by the
-  // FFT-style carry walk (amortized two iterations), and `t2d_want` is
-  // i*a mod (n-1) maintained by conditional-subtract (a <= n/2, so the
-  // sum never wraps).  A per-element perm_bitrev / 128-bit mulmod would
-  // cost more than the executors being planned for.
-  std::uint64_t rv = 0;
-  std::uint64_t t2d_want = 0;
-  perm_fnv f;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t v = get(pi, i);
-    if (v >= n) {
-      throw error("inplace: permutation entry out of range: pi[" +
-                  std::to_string(i) + "] = " + std::to_string(v) +
-                  " with n = " + std::to_string(n));
-    }
-    f.feed(v, i);
-    identity = identity && v == i;
-    rotation = rotation && v == (i + rot_k >= n ? i + rot_k - n : i + rot_k);
-    if (bitrev_ok) {
-      bitrev_ok = v == rv;
-      std::uint64_t bit = n >> 1;
-      while ((rv & bit) != 0) {
-        rv ^= bit;
-        bit >>= 1;
-      }
-      rv |= bit;
-    }
-    if (t2d) {
-      t2d = v == (i == n - 1 ? n - 1 : t2d_want);
-      t2d_want += a;
-      if (t2d_want >= n - 1) {
-        t2d_want -= n - 1;
-      }
-    }
-  }
-  plan.fingerprint_lo = f.final_lo();
-  plan.fingerprint_hi = f.final_hi();
-
-  if (identity) {
-    plan.kind = perm_kind::identity;
-  } else if (rotation) {
-    plan.kind = perm_kind::rotation;
-    plan.rot_k = rot_k;
-  } else if (bitrev_ok) {
-    plan.kind = perm_kind::bit_reversal;
-    plan.log2n = w;
-    plan.cobra_q = cobra_tile_bits(w, elem_size);
-  } else if (t2d) {
-    plan.kind = perm_kind::transpose2d;
-    plan.t2d_rows = n / a;
-    plan.t2d_cols = a;
-  } else {
-    plan.kind = perm_kind::generic;
+  if (v.kind == perm_kind::bit_reversal) {
+    plan.cobra_q = cobra_tile_bits(v.log2n, elem_size);
   }
   return plan;
 }

@@ -1,9 +1,9 @@
 // General-permutation engine suite (core/perm.hpp / perm_plan.hpp /
 // perm_engine.hpp), compiled with INPLACE_ENABLE_CHECKS so the executor's
-// fingerprint REQUIRE is live: the plan-time classifier's verdicts, every
+// verdict REQUIRE is live: the plan-time classifier's verdicts, every
 // executor against the out-of-place reference, in-place permutation
 // inversion, validation/restore error paths, and the context cache's
-// content-fingerprint keying.
+// verdict keying.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +46,14 @@ std::vector<T> iota_buffer(std::size_t n) {
     v[i] = static_cast<T>(i * 2654435761u + 13);
   }
   return v;
+}
+
+std::vector<std::uint32_t> rotation_perm(std::size_t n, std::size_t k) {
+  std::vector<std::uint32_t> pi(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pi[i] = static_cast<std::uint32_t>((i + k) % n);
+  }
+  return pi;
 }
 
 template <typename I>
@@ -287,8 +295,9 @@ TEST(Permute, NonBijectionIsCaughtAndRolledBack) {
 #if INPLACE_CHECKS_ENABLED
 TEST(Permute, CheckedModeCatchesPlanPermutationMismatch) {
   // A permuter built for pi A must refuse pi B of the same length: the
-  // execute-side fingerprint REQUIRE is exactly the guard that makes the
-  // context's content-addressed arena reuse sound.
+  // execute-side verdict REQUIRE (the content hash, for a generic plan)
+  // is exactly the guard that makes the context's verdict-keyed arena
+  // reuse sound.
   util::xoshiro256 rng(0x0FF1CE);
   const auto pa = random_perm<std::uint32_t>(50, rng);
   auto pb = pa;
@@ -303,6 +312,27 @@ TEST(Permute, CheckedModeCatchesPlanPermutationMismatch) {
       contract_violation);
   EXPECT_EQ(a, src);
   // The right permutation still goes through on the same instance.
+  p.execute(a.data(), std::span<const std::uint32_t>(pa), false);
+  EXPECT_EQ(a, reference_permute(src, pa, false));
+}
+#endif
+
+#if INPLACE_CHECKS_ENABLED
+TEST(Permute, CheckedModeRejectsADifferentRotation) {
+  // A structured plan carries no hash: its (kind, parameters) are the
+  // whole identity, so the re-run scan must catch a different offset.
+  const auto pa = rotation_perm(40, 3);
+  const auto pb = rotation_perm(40, 5);
+  const perm_plan plan = make_perm_plan<std::uint32_t>(
+      std::span<const std::uint32_t>(pa), false, options{}, sizeof(int));
+  ASSERT_EQ(plan.kind, perm_kind::rotation);
+  std::vector<int> a = iota_buffer<int>(40);
+  const auto src = a;
+  permuter<int> p(plan, options{}, a.data());
+  EXPECT_THROW(
+      p.execute(a.data(), std::span<const std::uint32_t>(pb), false),
+      contract_violation);
+  EXPECT_EQ(a, src);
   p.execute(a.data(), std::span<const std::uint32_t>(pa), false);
   EXPECT_EQ(a, reference_permute(src, pa, false));
 }
@@ -438,18 +468,67 @@ TEST(PermuteContext, DifferentContentOfOneLengthNeverAliases) {
 }
 
 TEST(PermuteContext, MixedIndexTypesShareOneArena) {
-  // The cache key is content-addressed: the same permutation handed over
-  // as uint32 and as int64 resolves to one cached arena family.
+  // The cache key is the verdict on pi's values: the same permutation
+  // handed over as uint32 and as int64 resolves to one cached arena
+  // family, generic (content hash) and structured (parameters) alike.
   transpose_context ctx;
-  std::vector<std::uint32_t> p32 = {3, 2, 1, 0, 5, 4};
-  std::vector<std::int64_t> p64(p32.begin(), p32.end());
   const std::vector<int> src = iota_buffer<int>(6);
-  auto a = src;
-  auto b = src;
-  ctx.permute(a.data(), std::span<const std::uint32_t>(p32));
-  ctx.permute(b.data(), std::span<const std::int64_t>(p64));
-  EXPECT_EQ(ctx.stats().plan_hits, 1u);
-  EXPECT_EQ(a, b);
+  std::uint64_t hits = 0;
+  for (const std::vector<std::uint32_t>& p32 :
+       {std::vector<std::uint32_t>{3, 2, 1, 0, 5, 4}, rotation_perm(6, 2)}) {
+    std::vector<std::int64_t> p64(p32.begin(), p32.end());
+    auto a = src;
+    auto b = src;
+    ctx.permute(a.data(), std::span<const std::uint32_t>(p32));
+    ctx.permute(b.data(), std::span<const std::int64_t>(p64));
+    EXPECT_EQ(ctx.stats().plan_hits, ++hits);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, reference_permute(src, p32, false));
+  }
+}
+
+TEST(PermuteContext, StructuredVerdictsKeyByTheirParameters) {
+  // Structured keys carry (kind, parameters) instead of a hash; every
+  // parameter must separate arenas, and so must the kind.
+  const std::size_t n = 24;
+  util::xoshiro256 rng(0x7E57);
+  const auto t2d = [n](std::uint64_t cols) {
+    std::vector<std::uint32_t> pi(n);
+    for (std::uint64_t i = 0; i + 1 < n; ++i) {
+      pi[i] = static_cast<std::uint32_t>(i * cols % (n - 1));
+    }
+    pi[n - 1] = static_cast<std::uint32_t>(n - 1);
+    return pi;
+  };
+  const struct {
+    std::vector<std::uint32_t> pi;
+    perm_kind kind;
+  } cases[] = {
+      {rotation_perm(n, 5), perm_kind::rotation},
+      {rotation_perm(n, 7), perm_kind::rotation},       // another k
+      {t2d(6), perm_kind::transpose2d},                  // 4 x 6
+      {t2d(4), perm_kind::transpose2d},                  // 6 x 4
+      {random_perm<std::uint32_t>(n, rng), perm_kind::generic},
+  };
+  transpose_context ctx;
+  const std::vector<int> src = iota_buffer<int>(n);
+  std::uint64_t misses = 0;
+  for (const auto& c : cases) {
+    ASSERT_EQ(make_perm_plan<std::uint32_t>(c.pi, false, options{}, 4).kind,
+              c.kind);
+    auto a = src;
+    ctx.permute(a.data(), std::span<const std::uint32_t>(c.pi));
+    EXPECT_EQ(ctx.stats().plan_misses, ++misses) << perm_kind_name(c.kind);
+    EXPECT_EQ(a, reference_permute(src, c.pi, false));
+  }
+  // Each one warm again: all hits, no new misses.
+  for (const auto& c : cases) {
+    auto a = src;
+    ctx.permute(a.data(), std::span<const std::uint32_t>(c.pi));
+    EXPECT_EQ(a, reference_permute(src, c.pi, false));
+  }
+  EXPECT_EQ(ctx.stats().plan_misses, misses);
+  EXPECT_EQ(ctx.stats().plan_hits, std::size(cases));
 }
 
 TEST(PermuteContext, NullDataThrowsForNonemptyPermutation) {
