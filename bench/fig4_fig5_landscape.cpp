@@ -38,7 +38,7 @@ double measure(direction dir, std::uint64_t m, std::uint64_t n,
     // C2R/R2C permutation on the m x n view (no heuristic, no swap).
     const transpose_plan plan =
         make_directed_plan(buf.data(), m, n, dir, opts, sizeof(float));
-    detail::execute_plan(buf.data(), plan);
+    transposer<float>{plan}(buf.data());
     best = std::max(best, util::transpose_throughput_gbs(
                               m, n, sizeof(float), clk.seconds()));
   }

@@ -1,18 +1,18 @@
 #pragma once
-// Plan execution internals shared by the public entry points: the free
-// functions (core/transpose.hpp, routed through core/context.hpp), the
-// plan-reusing transposer (core/executor.hpp) and the context's cached
-// entries.  Split out of transpose.hpp so context.hpp can reuse the
-// machinery without a circular include.
+// Plan execution internals behind transposer<T> (core/executor.hpp), the
+// one 2-D execution path: every public entry point — the free functions
+// (core/transpose.hpp, routed through core/context.hpp), the context's
+// cached arenas and a one-shot transposer<T>{plan}(data) — runs through
+// it.
 //
 // This header also owns the two halves of the failure-semantics layer
 // that sit between the entry points and the engines:
 //
 //   * acquire_scratch — workspace acquisition walks a degradation ladder
 //     under memory pressure instead of failing: full Theorem 6 scratch →
-//     a reduced serial footprint → the O(1)-auxiliary-space
-//     cycle-following fallback (baselines/cycle_follow.hpp), recording
-//     the rung in the plan and telemetry;
+//     a reduced serial footprint → the cycle walker's O(1)-auxiliary-space
+//     rung (core/cycles.hpp), recording the rung in the plan and
+//     telemetry;
 //   * rollback_stages — when an engine throws at a stage boundary, the
 //     inverses of the completed passes run in reverse order (each pass
 //     of the decomposition is a bijection whose inverse is the matching
@@ -24,8 +24,8 @@
 #include <new>
 #include <optional>
 
-#include "baselines/cycle_follow.hpp"
 #include "core/contracts.hpp"
+#include "core/cycles.hpp"
 #include "core/equations.hpp"
 #include "core/errors.hpp"
 #include "core/failpoint.hpp"
@@ -246,7 +246,7 @@ std::unique_ptr<tile_runner_base<T>> make_tile_runner(
 }
 
 /// Runs a tile plan with the same stage-boundary rollback contract as
-/// run_with_math.
+/// transposer<T>::execute.
 template <typename T>
 void run_tile(T* data, const transpose_plan& plan,
               tile_runner_base<T>& runner) {
@@ -357,13 +357,38 @@ scratch_bundle<T> acquire_scratch(transpose_plan& plan) {
   return bundle;
 }
 
-/// Executes a cycle_follow-rung plan: the strictly in-place directed
-/// permutation, serial, no scratch (Dudek et al.'s problem class; the
-/// paper's introduction's cycle-following baseline).
+/// The C2R/R2C permutation of a row-major m x n buffer as a gather over
+/// the linear index: slot l receives slot l * mult mod (mn - 1), where
+/// mult = n for C2R and m for R2C (n*m ≡ 1 mod mn-1, so the two maps are
+/// mutual inverses), and slots 0 and mn-1 are fixed.  The product takes
+/// 128 bits: with mn up to 2^64, l * mult can pass 2^64 long before mn
+/// does.
+struct transpose_cycle_index {
+  std::uint64_t mult;
+  std::uint64_t wrap;  ///< mn - 1
+
+  transpose_cycle_index(std::uint64_t m, std::uint64_t n, direction dir)
+      : mult(dir == direction::c2r ? n : m), wrap(m * n - 1) {}
+
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t l) const {
+    if (l >= wrap) {
+      return l;
+    }
+    return static_cast<std::uint64_t>(static_cast<__uint128_t>(l) * mult %
+                                      wrap);
+  }
+};
+
+/// Executes a cycle_follow-rung plan: the cycle walker's no-marks rung
+/// over transpose_cycle_index, serial, one element in flight, no scratch
+/// (the paper introduction's cycle-following baseline).
 template <typename T>
 void run_cycle_follow(T* data, const transpose_plan& plan) {
-  baselines::cycle_following_permute_limited(
-      data, plan.m, plan.n, plan.dir == direction::c2r);
+  checked_extent(data, plan.m, plan.n);  // null data throws inplace::error
+  cycle_scratch<T> none;  // rung cycle_follow: no marks, no chunk buffer
+  permute_cycles(cycle_move<T>{data}, plan.m * plan.n,
+                 transpose_cycle_index(plan.m, plan.n, plan.dir), none,
+                 cycle_form::gather);
 }
 
 /// Restores the caller's buffer after a stage-boundary failure by
@@ -464,102 +489,6 @@ void rollback_stages(T* data, const Math& mm, const transpose_plan& plan,
     // Swallowed: the original exception (in flight in the caller) is the
     // one the user must see; a failed rollback downgrades the guarantee
     // from "restored" to "left at a stage boundary", never hides errors.
-  }
-}
-
-/// Runs the planned engine on caller-provided scratch, with
-/// stage-boundary rollback: if the engine throws between passes, the
-/// completed passes are inverted before the exception continues, so the
-/// caller's buffer is restored to its input state.
-template <typename T, typename Math>
-void run_with_math(T* data, const Math& mm, const transpose_plan& plan,
-                   scratch_bundle<T>& scratch) {
-  INPLACE_REQUIRE(mm.m == plan.m && mm.n == plan.n,
-                  "index math shape does not match the plan");
-  stage_progress prog;
-  try {
-    switch (plan.engine) {
-      case engine_kind::reference:
-        if (plan.dir == direction::c2r) {
-          c2r_reference(data, mm, *scratch.ws, nullptr, &prog);
-        } else {
-          r2c_reference(data, mm, *scratch.ws, nullptr, &prog);
-        }
-        break;
-      case engine_kind::skinny: {
-        const kernels::kernel_set& ks = kernels::set_for(plan.ktier);
-        if (plan.dir == direction::c2r) {
-          c2r_skinny(data, mm, *scratch.ws, nullptr, &ks,
-                     plan.streaming_stores, &prog);
-        } else {
-          r2c_skinny(data, mm, *scratch.ws, nullptr, &ks,
-                     plan.streaming_stores, &prog);
-        }
-        break;
-      }
-      case engine_kind::blocked:
-        if (plan.dir == direction::c2r) {
-          c2r_blocked(data, mm, plan, *scratch.pool, nullptr, &prog);
-        } else {
-          r2c_blocked(data, mm, plan, *scratch.pool, nullptr, &prog);
-        }
-        break;
-      case engine_kind::automatic:
-        // make_plan/make_directed_plan guarantee a concrete engine (plan
-        // postcondition); an unresolved plan here is forged or corrupted.
-        // Fail loudly instead of silently picking an engine.
-        INPLACE_CHECK(false,
-                      "unresolved engine_kind::automatic reached the executor");
-        throw error(
-            "inplace: plan with unresolved engine_kind::automatic reached "
-            "the executor (plans must come from make_plan/make_directed_"
-            "plan/make_plan_for_shape)");
-    }
-  } catch (...) {
-    rollback_stages(data, mm, plan,
-                    scratch.ws.has_value() ? &*scratch.ws : nullptr,
-                    scratch.pool.has_value() ? &*scratch.pool : nullptr,
-                    prog);
-    throw;
-  }
-}
-
-/// One-shot (uncached) execution: builds fresh workspaces (degrading
-/// under memory pressure), runs with rollback protection, frees.
-template <typename T>
-void execute_plan(T* data, const transpose_plan& plan_in) {
-  // Degenerate shapes: a 1 x n or m x 1 matrix transposes to the identical
-  // buffer, and the permutation equations degenerate with it.  Still a
-  // real execution, though — record the plan and the total span so bench
-  // JSON does not silently undercount 1 x n / m x 1 calls.
-  if (plan_in.m <= 1 || plan_in.n <= 1) {
-    note_plan_record<T>(plan_in);
-    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                           2 * plan_in.m * plan_in.n * sizeof(T), 0);
-    return;
-  }
-  transpose_plan plan = plan_in;
-  scratch_bundle<T> scratch = acquire_scratch<T>(plan);
-  note_plan_record<T>(plan);
-  INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                         2 * plan.m * plan.n * sizeof(T),
-                         plan.rung == scratch_rung::cycle_follow
-                             ? 0
-                             : plan.scratch_elements() * sizeof(T));
-  if (plan.rung == scratch_rung::cycle_follow) {
-    run_cycle_follow(data, plan);
-    return;
-  }
-  if (scratch.tile != nullptr) {
-    run_tile(data, plan, *scratch.tile);
-    return;
-  }
-  if (plan.strength_reduction) {
-    const transpose_math<fast_divmod> mm(plan.m, plan.n);
-    run_with_math(data, mm, plan, scratch);
-  } else {
-    const transpose_math<plain_divmod> mm(plan.m, plan.n);
-    run_with_math(data, mm, plan, scratch);
   }
 }
 

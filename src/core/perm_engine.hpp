@@ -19,9 +19,10 @@
 //                 factorization — the strength-reduced Eq. 24/26 engines
 //                 do the work and emit their own plan record alongside
 //                 the perm record (the documented two-record contract)
-//   generic       memoized cycle-leader scan; the scratch ladder mirrors
-//                 acquire_scratch's rungs (byte map -> bitset -> O(1)
-//                 leader-min), demoting only on std::bad_alloc
+//   generic       the cycle walker (core/cycles.hpp) over pi, its
+//                 leaders memoized for warm calls; the walker's ladder
+//                 (byte map -> bitset -> O(1) leader-min) demotes only on
+//                 std::bad_alloc
 //
 // Failure semantics match the 2-D executors: every path tracks completed
 // stages (reversals, COBRA block pairs, applied cycle leaders) and a
@@ -32,7 +33,7 @@
 // "left at a stage boundary, never hidden" policy as rollback_stages.
 //
 // Not thread-safe: one permuter instance must not execute on two threads
-// at once (tiles, visited maps and the leader memo are exclusive to one
+// at once (tiles, visited marks and the leader memo are exclusive to one
 // execution).  transpose_context hands out distinct instances.
 
 #include <algorithm>
@@ -45,6 +46,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/cycles.hpp"
 #include "core/executor.hpp"
 #include "core/perm_plan.hpp"
 #include "core/rotate.hpp"
@@ -169,33 +171,13 @@ class permuter {
                                           sizeof(T)));
         break;
       }
-      case perm_kind::generic: {
-        if (plan_.n <= 1) {
-          break;
+      case perm_kind::generic:
+        if (plan_.n > 1) {
+          cycles_ = detail::acquire_cycle_scratch<T>(
+              plan_.n, 0, [] { INPLACE_FAILPOINT("perm.exec.alloc"); });
+          plan_.rung = cycles_.rung;
         }
-        try {
-          INPLACE_FAILPOINT("perm.exec.alloc");
-          visited_.resize(plan_.n);
-          break;
-        } catch (const std::bad_alloc&) {
-          visited_.clear();
-          visited_.shrink_to_fit();
-        }
-        try {
-          INPLACE_FAILPOINT("perm.exec.alloc");
-          bits_.resize((plan_.n + 63) / 64);
-          plan_.rung = scratch_rung::reduced;
-          break;
-        } catch (const std::bad_alloc&) {
-          bits_.clear();
-          bits_.shrink_to_fit();
-        }
-        // Last rung: no visited structure at all — the leader-min scan
-        // re-walks each cycle to test leadership (O(n * cycle) time,
-        // O(1) auxiliary space, Dudek et al.'s regime).
-        plan_.rung = scratch_rung::cycle_follow;
         break;
-      }
     }
     // inplace-lint: end-block
   }
@@ -212,9 +194,8 @@ class permuter {
 
   /// Approximate bytes retained by this executor's cached state.
   [[nodiscard]] std::size_t cached_bytes() const {
-    std::size_t total = visited_.capacity();
-    total += (bits_.capacity() + revq_.capacity() + gidx_.capacity() +
-              leaders_.capacity()) *
+    std::size_t total = cycles_.bytes();
+    total += (revq_.capacity() + gidx_.capacity() + leaders_.capacity()) *
              sizeof(std::uint64_t);
     total += (tiles_.capacity() + subrow_.capacity()) * sizeof(T);
     if (inner_.has_value()) {
@@ -489,26 +470,46 @@ class permuter {
 
   // --- generic cycle-leader --------------------------------------------
 
+  /// Runs the cycle walker (core/cycles.hpp) over pi.  The cold path
+  /// applies each cycle as soon as the walker proves its leader; the
+  /// leader is pushed onto the memo *before* its cycle moves and
+  /// `applied` is bumped after, so leaders_[0, applied) is exactly the
+  /// rollback set at every throw point.  Warm calls replay the memo with
+  /// no discovery walk: the cycle structure is a function of pi alone,
+  /// which checked mode just re-fingerprinted.
   template <typename I>
   void run_generic(T* data, std::span<const I> pi) {
+    const auto idx = [pi](std::uint64_t i) {
+      return static_cast<std::uint64_t>(pi[static_cast<std::size_t>(i)]);
+    };
+    const detail::cycle_move<T> mv{data};
+    const detail::cycle_form form = plan_.inverse
+                                        ? detail::cycle_form::scatter
+                                        : detail::cycle_form::gather;
     std::size_t applied = 0;
     try {
       if (leaders_ready_) {
-        // Warm path: the cycle structure is a function of pi alone,
-        // which checked mode just re-fingerprinted — replay the memoized
-        // leaders with no discovery walk at all.
         for (const std::uint64_t y : leaders_) {
           INPLACE_FAILPOINT("perm.exec.stage");
-          apply_cycle(data, pi, y, plan_.inverse);
+          mv(idx, y, form);
           ++applied;
         }
         return;
       }
       leaders_.clear();
-      discover_and_apply(data, pi, applied);
+      detail::for_each_cycle_leader(
+          plan_.n, idx, cycles_, [&](std::uint64_t y) {
+            INPLACE_FAILPOINT("perm.exec.stage");
+            // inplace-lint: allow-next(raw-alloc): leader memo append —
+            // bounded by the cycle count (< n), amortized O(1), part of
+            // the arena the context cache accounts via cached_bytes()
+            leaders_.push_back(y);
+            mv(idx, y, form);
+            ++applied;
+          });
       leaders_ready_ = true;
     } catch (...) {
-      rollback_generic(data, pi, applied);
+      rollback_generic(mv, idx, detail::opposite(form), applied);
       if (!leaders_ready_) {
         // A partial memo must never be replayed as if complete.
         leaders_.clear();
@@ -517,154 +518,15 @@ class permuter {
     }
   }
 
-  /// Cold path: discover cycle leaders (per the scratch rung) and apply
-  /// each cycle as soon as its leadership is proven.  The leader is
-  /// pushed onto the memo *before* its cycle moves and `applied` is
-  /// bumped after, so leaders_[0, applied) is exactly the rollback set
-  /// at every throw point.
-  template <typename I>
-  void discover_and_apply(T* data, std::span<const I> pi,
-                          std::size_t& applied) {
-    const std::uint64_t n = plan_.n;
-    const auto idx = [pi](std::uint64_t i) {
-      return static_cast<std::uint64_t>(pi[static_cast<std::size_t>(i)]);
-    };
-    const auto on_leader = [&](std::uint64_t y) {
-      INPLACE_FAILPOINT("perm.exec.stage");
-      // inplace-lint: allow-next(raw-alloc): leader memo append — bounded
-      // by the cycle count (< n), amortized O(1), part of the arena the
-      // context cache accounts via cached_bytes()
-      leaders_.push_back(y);
-      apply_cycle(data, pi, y, plan_.inverse);
-      ++applied;
-    };
-    if (!visited_.empty()) {
-      // Full rung: byte map.  std::fill, not assign — no reallocation.
-      std::fill(visited_.begin(), visited_.end(),
-                static_cast<unsigned char>(0));
-      for (std::uint64_t y = 0; y < n; ++y) {
-        if (visited_[y] != 0) {
-          continue;
-        }
-        std::uint64_t len = 0;
-        std::uint64_t i = y;
-        do {
-          visited_[i] = 1;
-          i = idx(i);
-          guard_walk(++len, n);
-        } while (i != y);
-        if (len > 1) {
-          on_leader(y);
-        }
-      }
-      return;
-    }
-    if (!bits_.empty()) {
-      // Reduced rung: bitset, 1/8th the footprint.
-      std::fill(bits_.begin(), bits_.end(), std::uint64_t{0});
-      const auto test = [&](std::uint64_t i) {
-        return (bits_[i >> 6] >> (i & 63)) & 1u;
-      };
-      const auto set = [&](std::uint64_t i) {
-        bits_[i >> 6] |= std::uint64_t{1} << (i & 63);
-      };
-      for (std::uint64_t y = 0; y < n; ++y) {
-        if (test(y) != 0) {
-          continue;
-        }
-        std::uint64_t len = 0;
-        std::uint64_t i = y;
-        do {
-          set(i);
-          i = idx(i);
-          guard_walk(++len, n);
-        } while (i != y);
-        if (len > 1) {
-          on_leader(y);
-        }
-      }
-      return;
-    }
-    // cycle_follow rung: y leads iff no cycle member is smaller — each
-    // candidate walks its cycle once to test leadership, trading time
-    // for O(1) auxiliary space.
-    for (std::uint64_t y = 0; y < n; ++y) {
-      std::uint64_t i = idx(y);
-      if (i == y) {
-        continue;
-      }
-      bool leader = true;
-      std::uint64_t len = 1;
-      while (i != y) {
-        if (i < y) {
-          leader = false;
-          break;
-        }
-        i = idx(i);
-        guard_walk(++len, n);
-      }
-      if (leader) {
-        on_leader(y);
-      }
-    }
-  }
-
-  /// Hard bound on every discovery walk: a bijection's cycle closes
-  /// within n steps, so step n+1 proves pi maps two indices to one slot.
-  /// Always on (not checked-mode-only): the alternative is an infinite
-  /// pointer-chase.  Discovery walks precede the cycle's application, so
-  /// the throw happens with the buffer at a stage boundary and the
-  /// normal rollback applies.
-  static void guard_walk(std::uint64_t steps, std::uint64_t n) {
-    if (steps > n) {
-      throw error(
-          "inplace: permutation is not a bijection — a cycle walk "
-          "exceeded n steps (two indices map to one slot)");
-    }
-  }
-
-  /// Moves one cycle rooted at leader `y`.  Gather (dst[i] = src[pi[i]])
-  /// shifts values against the walk; scatter (dst[pi[i]] = src[i]) is
-  /// its exact inverse, which is what makes rollback a direction flip.
-  /// The walk is bounded: discovery (or the warm-path fingerprint check)
-  /// already proved the cycle closes at y.
-  template <typename I>
-  void apply_cycle(T* data, std::span<const I> pi, std::uint64_t y,
-                   bool inverse) {
-    const auto idx = [pi](std::uint64_t i) {
-      return static_cast<std::uint64_t>(pi[static_cast<std::size_t>(i)]);
-    };
-    if (!inverse) {
-      T saved = std::move(data[y]);
-      std::uint64_t i = y;
-      for (;;) {
-        const std::uint64_t j = idx(i);
-        if (j == y) {
-          data[i] = std::move(saved);
-          break;
-        }
-        data[i] = std::move(data[j]);
-        i = j;
-      }
-    } else {
-      T saved = std::move(data[y]);
-      std::uint64_t i = idx(y);
-      while (i != y) {
-        std::swap(saved, data[i]);
-        i = idx(i);
-      }
-      data[y] = std::move(saved);
-    }
-  }
-
-  template <typename I>
-  void rollback_generic(T* data, std::span<const I> pi,
+  /// Cycles are disjoint: undo each applied one in the opposite form
+  /// (reverse order for symmetry with the other rollbacks).
+  template <typename Index>
+  void rollback_generic(const detail::cycle_move<T>& mv, const Index& idx,
+                        detail::cycle_form undo,
                         std::size_t applied) noexcept {
     try {
-      // Cycles are disjoint; undo each applied one with the opposite
-      // walk (reverse order for symmetry with the other rollbacks).
       for (std::size_t k = applied; k-- > 0;) {
-        apply_cycle(data, pi, leaders_[k], !plan_.inverse);
+        mv(idx, leaders_[k], undo);
       }
     } catch (...) {
       // Swallowed: the original exception is the one the caller sees.
@@ -685,10 +547,9 @@ class permuter {
   // transpose2d: the delegated 2-D executor.
   std::optional<transposer<T>> inner_;
 
-  // generic: visited structures (at most one engaged, per the rung) and
-  // the memoized cycle leaders, which double as the rollback log.
-  std::vector<unsigned char> visited_;
-  std::vector<std::uint64_t> bits_;
+  // generic: the walker's marks (per the rung) and the memoized cycle
+  // leaders, which double as the rollback log.
+  detail::cycle_scratch<T> cycles_;
   std::vector<std::uint64_t> leaders_;
   bool leaders_ready_ = false;
 };

@@ -7,11 +7,10 @@
 //     (core/executor.hpp) — one transposer<T> arena per pass, so kernel
 //     tiers, NT-streaming policy, stage-boundary rollback and the OOM
 //     degradation ladder all apply per pass;
-//   * chunk > 1 passes run chunk-grid cycle following over a rows x cols
-//     grid of contiguous chunk-element blocks, with scratch from the
-//     audited funnel below (its own three-rung OOM ladder, mirroring
-//     detail::acquire_scratch: byte visited map -> packed bitset ->
-//     O(1)-space leader-min cycle following with one element in flight).
+//   * chunk > 1 passes run the cycle walker (core/cycles.hpp) over a
+//     rows x cols grid of contiguous chunk-element blocks; its scratch
+//     ladder (byte visited map -> packed bitset -> O(1)-space leader-min
+//     with one element in flight) fires "tensor.chunk.alloc" per rung.
 //
 // Failure semantics match the 2-D paths: "tensor.pass.begin" fires before
 // each pass moves anything, and any pass failure rolls the completed
@@ -28,9 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/cycles.hpp"
 #include "core/executor.hpp"
+#include "core/fastdiv.hpp"
 #include "core/tensor_plan.hpp"
-#include "util/aligned.hpp"
 
 namespace inplace {
 
@@ -94,195 +94,42 @@ class tensor_view_nd {
 
 namespace detail {
 
-/// Scratch for the chunk-grid passes, acquired only through
-/// acquire_chunk_scratch below.  The rung records where acquisition
-/// landed: full (one visited byte per grid slot), reduced (packed visited
-/// bitset), or cycle_follow (no scratch at all — the O(1)-space path).
-template <typename T>
-struct chunk_scratch {
-  util::aligned_vector<std::uint8_t> bits;
-  util::aligned_vector<T> tmp;  ///< one chunk in flight
-  scratch_rung rung = scratch_rung::cycle_follow;
+/// The chunk-grid gather map: slot w of a rows x cols grid receives the
+/// chunk from slot (w mod rows) * cols + w / rows, so block (i, j) moves
+/// to slot j*rows + i.  Division is strength-reduced (fast_divmod).  A
+/// bijection by construction, so the walker fuses its marking into the
+/// chunk moves (see permute_cycles).
+struct grid_transpose_index {
+  static constexpr bool bijective = true;
+  fast_divmod rows;
+  std::uint64_t cols;
 
-  [[nodiscard]] std::size_t bytes() const {
-    return bits.capacity() + tmp.capacity() * sizeof(T);
+  grid_transpose_index(std::uint64_t r, std::uint64_t c) : rows(r), cols(c) {}
+
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t w) const {
+    const fast_divmod::qr d = rows.divmod(w);
+    return d.rem * cols + d.quot;
   }
 };
 
-/// The audited allocation funnel for chunk-grid scratch, walking the same
-/// shape of OOM ladder as detail::acquire_scratch: every rung fires the
-/// "tensor.chunk.alloc" failpoint, allocation goes through
-/// util::aligned_vector (which carries the "alloc.aligned" failpoint),
-/// and bad_alloc demotes instead of failing.  Exceptions other than
-/// bad_alloc (including injected_fault) propagate untouched — nothing has
-/// run yet, so the caller's buffer is untouched too.
-template <typename T>
-chunk_scratch<T> acquire_chunk_scratch(std::uint64_t slots,
-                                       std::uint64_t chunk) {
-  chunk_scratch<T> s;
-  try {
-    INPLACE_FAILPOINT("tensor.chunk.alloc");
-    // inplace-lint: allow-next(raw-alloc): the audited funnel itself —
-    // aligned_vector growth carries the alloc.aligned failpoint and this
-    // site owns the demotion ladder
-    s.bits.resize(static_cast<std::size_t>(slots));
-    // inplace-lint: allow-next(raw-alloc): audited funnel (see above)
-    s.tmp.resize(static_cast<std::size_t>(chunk));
-    s.rung = scratch_rung::full;
-    return s;
-  } catch (const std::bad_alloc&) {
-    s.bits = util::aligned_vector<std::uint8_t>();
-    s.tmp = util::aligned_vector<T>();
-  }
-  try {
-    INPLACE_FAILPOINT("tensor.chunk.alloc");
-    // inplace-lint: allow-next(raw-alloc): audited funnel, reduced rung —
-    // one packed visited bit per grid slot instead of a byte
-    s.bits.resize(static_cast<std::size_t>((slots + 7) / 8));
-    // inplace-lint: allow-next(raw-alloc): audited funnel (see above)
-    s.tmp.resize(static_cast<std::size_t>(chunk));
-    s.rung = scratch_rung::reduced;
-    return s;
-  } catch (const std::bad_alloc&) {
-    s.bits = util::aligned_vector<std::uint8_t>();
-    s.tmp = util::aligned_vector<T>();
-  }
-  // Last rung: no allocation at all — the O(1)-space leader-min walk.
-  s.rung = scratch_rung::cycle_follow;
-  return s;
-}
-
-/// Chunk-grid transpose with no auxiliary state: for each slot cycle,
-/// only the minimum slot leads (every cycle is walked once to check),
-/// and the chunk contents rotate one element offset at a time with a
-/// single element in flight.  O(cycle length) extra walks, O(1) space —
-/// the chunk-path analogue of baselines::cycle_following_permute_limited.
-template <typename T>
-void run_chunk_grid_inplace(T* base, std::uint64_t rows, std::uint64_t cols,
-                            std::uint64_t chunk) {
-  const std::uint64_t slots = rows * cols;
-  for (std::uint64_t y = 0; y < slots; ++y) {
-    // Gather permutation: slot w receives the chunk from slot
-    // src(w) = (w mod rows) * cols + (w / rows).
-    std::uint64_t w = (y % rows) * cols + y / rows;
-    if (w == y) {
-      continue;
-    }
-    bool leader = true;
-    while (w != y) {
-      if (w < y) {
-        leader = false;
-        break;
-      }
-      w = (w % rows) * cols + w / rows;
-    }
-    if (!leader) {
-      continue;
-    }
-    for (std::uint64_t off = 0; off < chunk; ++off) {
-      T saved = base[y * chunk + off];
-      std::uint64_t v = y;
-      for (;;) {
-        const std::uint64_t src = (v % rows) * cols + v / rows;
-        if (src == y) {
-          base[v * chunk + off] = saved;
-          break;
-        }
-        base[v * chunk + off] = base[src * chunk + off];
-        v = src;
-      }
-    }
-  }
-}
-
-/// One chunk-grid pass through whichever rung the scratch funnel landed
-/// on: transposes a rows x cols grid of contiguous chunk-element blocks
-/// in place (block (i, j) moves to slot j*rows + i).
-///
-/// With a kernel set, chunk moves of trivially copyable elements go
-/// through the plan's tier (the same copy/stream_subrow pair the 2-D
-/// cycle follower uses); `stream` selects unfenced non-temporal stores
-/// for the grid destinations — each slot is written once and never
-/// re-read within the pass (gather cycle order), so its lines are dead —
-/// with one fence() published at the end.  The tmp save/restore stays
-/// temporal: tmp is cache-hot scratch re-read at every cycle close.
+/// One chunk-grid pass: the cycle walker (core/cycles.hpp) transposes a
+/// rows x cols grid of contiguous chunk-element blocks in place, on the
+/// rung `s` landed on.  With a kernel set, chunks of trivially copyable
+/// elements move through the plan's tier, and `stream` writes the grid
+/// destinations as non-temporal stores, fenced once at the end.
 template <typename T>
 void run_chunk_pass(T* base, std::uint64_t rows, std::uint64_t cols,
-                    std::uint64_t chunk, chunk_scratch<T>& s,
+                    std::uint64_t chunk, cycle_scratch<T>& s,
                     const kernels::kernel_set* ks = nullptr,
                     bool stream = false) {
   INPLACE_REQUIRE(base != nullptr, "chunk pass invoked with null data");
   if (rows <= 1 || cols <= 1 || chunk == 0) {
     return;
   }
-  if (s.rung == scratch_rung::cycle_follow) {
-    run_chunk_grid_inplace(base, rows, cols, chunk);
-    return;
-  }
-  constexpr bool use_kernels = std::is_trivially_copyable_v<T>;
-  const std::size_t chunk_bytes = static_cast<std::size_t>(chunk) * sizeof(T);
-  const auto move = [&](T* dst, const T* src) {
-    if constexpr (use_kernels) {
-      if (ks != nullptr) {
-        (stream ? ks->stream_subrow : ks->copy)(dst, src, chunk_bytes);
-        return;
-      }
-    }
-    std::copy(src, src + chunk, dst);
-  };
-  const auto save = [&](T* dst, const T* src) {
-    if constexpr (use_kernels) {
-      if (ks != nullptr) {
-        ks->copy(dst, src, chunk_bytes);
-        return;
-      }
-    }
-    std::copy(src, src + chunk, dst);
-  };
-  const std::uint64_t slots = rows * cols;
-  const bool packed = s.rung == scratch_rung::reduced;
-  std::fill(s.bits.begin(), s.bits.end(), std::uint8_t{0});
-  const auto visited = [&](std::uint64_t w) {
-    return packed ? ((s.bits[w >> 3] >> (w & 7)) & 1u) != 0
-                  : s.bits[w] != 0;
-  };
-  const auto mark = [&](std::uint64_t w) {
-    if (packed) {
-      s.bits[w >> 3] = static_cast<std::uint8_t>(s.bits[w >> 3] |
-                                                 (1u << (w & 7)));
-    } else {
-      s.bits[w] = 1;
-    }
-  };
-  for (std::uint64_t y = 0; y < slots; ++y) {
-    if (visited(y)) {
-      continue;
-    }
-    const std::uint64_t first_src = (y % rows) * cols + y / rows;
-    mark(y);
-    if (first_src == y) {
-      continue;
-    }
-    save(s.tmp.data(), base + y * chunk);
-    std::uint64_t w = y;
-    for (;;) {
-      const std::uint64_t src = (w % rows) * cols + w / rows;
-      mark(w);
-      if (src == y) {
-        move(base + w * chunk, s.tmp.data());
-        break;
-      }
-      kernels::prefetch_read(base + ((src % rows) * cols + src / rows) *
-                                        chunk);
-      move(base + w * chunk, base + src * chunk);
-      w = src;
-    }
-  }
-  if constexpr (use_kernels) {
-    if (ks != nullptr && stream) {
-      ks->fence();
-    }
-  }
+  const cycle_move<T> mv{base, chunk, s.buf.empty() ? nullptr : s.buf.data(),
+                         ks, stream};
+  permute_cycles(mv, rows * cols, grid_transpose_index(rows, cols), s,
+                 cycle_form::gather);
 }
 
 /// Restores the slabs a failing batched 2-D pass already completed (the
@@ -303,35 +150,6 @@ void rollback_nd_slabs(T* data, const nd_pass& p,
     const std::uint64_t slab = p.rows * p.cols * p.chunk;
     for (std::uint64_t k = completed; k-- > 0;) {
       inv(data + k * slab);
-    }
-  } catch (...) {
-    // Unrecoverable: leave the buffer as-is (never throw past here).
-  }
-}
-
-/// Inverts the completed passes of a tensor plan in reverse order: the
-/// inverse of the adjacent-group swap (P, X, Y, S) -> (P, Y, X, S) is the
-/// same swap with the grid extents exchanged.  Chunk passes invert
-/// through the O(1)-space walk (no allocation on the rollback path).
-/// Best-effort, same taxonomy row as rollback_nd_slabs.
-template <typename T>
-void rollback_nd_passes(T* data, const tensor_plan& plan,
-                        std::size_t completed) noexcept {
-  try {
-    for (std::size_t i = completed; i-- > 0;) {
-      const nd_pass& p = plan.passes[i];
-      const std::uint64_t slab = p.rows * p.cols * p.chunk;
-      if (p.chunk == 1) {
-        transposer<T> inv(static_cast<std::size_t>(p.cols),
-                          static_cast<std::size_t>(p.rows));
-        for (std::uint64_t k = 0; k < p.batch; ++k) {
-          inv(data + k * slab);
-        }
-      } else {
-        for (std::uint64_t k = 0; k < p.batch; ++k) {
-          run_chunk_grid_inplace(data + k * slab, p.cols, p.rows, p.chunk);
-        }
-      }
     }
   } catch (...) {
     // Unrecoverable: leave the buffer as-is (never throw past here).
@@ -377,7 +195,7 @@ inline void note_tensor_record([[maybe_unused]] std::uint64_t total,
 }  // namespace detail
 
 /// Reusable rank-N permutation executor: adopts a tensor_plan, builds one
-/// arena per pass (a transposer<T> for executor passes, funnel-acquired
+/// arena per pass (a transposer<T> for executor passes, cycle-walker
 /// scratch for chunk passes) and replays the passes per execution.
 ///
 /// Not thread-safe — one instance must not execute on two threads at once
@@ -402,8 +220,9 @@ class nd_transposer {
                       storage_order::row_major, opts);
         worst_rung_ = std::max(worst_rung_, ps.tr->plan().rung);
       } else {
-        ps.scratch =
-            detail::acquire_chunk_scratch<T>(p.rows * p.cols, p.chunk);
+        ps.scratch = detail::acquire_cycle_scratch<T>(
+            p.rows * p.cols, p.chunk,
+            [] { INPLACE_FAILPOINT("tensor.chunk.alloc"); });
         worst_rung_ = std::max(worst_rung_, ps.scratch.rung);
         // Same matrix-scale NT policy as 2-D planning: each chunk pass
         // sweeps the whole tensor once, so the pass working set is the
@@ -450,7 +269,7 @@ class nd_transposer {
         run_pass(data, passes_[done], from_cache);
       }
     } catch (...) {
-      detail::rollback_nd_passes(data, plan_, done);
+      rollback_passes(data, done);
       throw;
     }
   }
@@ -469,7 +288,7 @@ class nd_transposer {
   struct pass_state {
     detail::nd_pass pass;
     std::optional<transposer<T>> tr;  ///< chunk == 1 passes
-    detail::chunk_scratch<T> scratch;  ///< chunk > 1 passes
+    detail::cycle_scratch<T> scratch;  ///< chunk > 1 passes
     bool stream = false;  ///< chunk-pass NT-store decision (plan-time)
   };
 
@@ -501,6 +320,36 @@ class nd_transposer {
         detail::run_chunk_pass(data + k * slab, p.rows, p.cols, p.chunk,
                                ps.scratch, &ks, ps.stream);
       }
+    }
+  }
+
+  /// Inverts the completed passes in reverse order: the inverse of the
+  /// adjacent-group swap (P, X, Y, S) -> (P, Y, X, S) is the same swap
+  /// with the grid extents exchanged.  A chunk pass inverts through the
+  /// walker on its own already-acquired scratch (no allocation on this
+  /// path) with portable moves.  Best-effort, same taxonomy row as
+  /// rollback_nd_slabs.
+  void rollback_passes(T* data, std::size_t completed) noexcept {
+    try {
+      for (std::size_t i = completed; i-- > 0;) {
+        pass_state& ps = passes_[i];
+        const detail::nd_pass& p = ps.pass;
+        const std::uint64_t slab = p.rows * p.cols * p.chunk;
+        if (p.chunk == 1) {
+          transposer<T> inv(static_cast<std::size_t>(p.cols),
+                            static_cast<std::size_t>(p.rows));
+          for (std::uint64_t k = 0; k < p.batch; ++k) {
+            inv(data + k * slab);
+          }
+        } else {
+          for (std::uint64_t k = 0; k < p.batch; ++k) {
+            detail::run_chunk_pass(data + k * slab, p.cols, p.rows, p.chunk,
+                                   ps.scratch);
+          }
+        }
+      }
+    } catch (...) {
+      // Unrecoverable: leave the buffer as-is (never throw past here).
     }
   }
 

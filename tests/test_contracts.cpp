@@ -193,7 +193,7 @@ TEST(CheckedExecutor, ForgedAutomaticPlanTripsContract) {
   forged.n = 8;
   forged.engine = inplace::engine_kind::automatic;
   std::vector<float> buf(64, 1.0f);
-  EXPECT_THROW(inplace::detail::execute_plan(buf.data(), forged),
+  EXPECT_THROW(inplace::transposer<float>{forged}(buf.data()),
                contract_violation);
 }
 

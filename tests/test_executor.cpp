@@ -171,7 +171,7 @@ TEST(Executor, UnresolvedAutomaticPlanFailsLoudly) {
   forged.engine = engine_kind::automatic;
   std::vector<float> buf(64, 1.0f);
   try {
-    detail::execute_plan(buf.data(), forged);
+    transposer<float>{forged}(buf.data());
     FAIL() << "a forged automatic plan executed silently";
   } catch (const error&) {
   } catch (const contract_violation&) {

@@ -244,8 +244,8 @@ TEST(Rollback, BlockedEngineRestoresAtEveryStageBoundary) {
 }
 
 TEST(Rollback, OneShotExecutePlanPathRestoresToo) {
-  // The uncached execute_plan path (free functions) shares run_with_math's
-  // rollback; prove it independently of the transposer.
+  // The uncached one-shot form, transposer<T>{plan}(data), builds and
+  // runs a fresh arena per call; its rollback must restore the buffer too.
   const std::size_t m = 56;
   const std::size_t n = 42;
   const auto src = util::iota_matrix<double>(m, n);
@@ -254,11 +254,11 @@ TEST(Rollback, OneShotExecutePlanPathRestoresToo) {
       make_directed_plan(buf.data(), m, n, direction::c2r, {}, sizeof(double));
   {
     fp::scoped_trigger armed("blocked.c2r.after_row_shuffle");
-    EXPECT_THROW(detail::execute_plan(buf.data(), plan), fp::injected_fault);
+    EXPECT_THROW(transposer<double>{plan}(buf.data()), fp::injected_fault);
   }
-  expect_same(buf, src, "execute_plan rollback");
-  detail::execute_plan(buf.data(), plan);
-  expect_transposed(buf, src, m, n, "execute_plan rerun");
+  expect_same(buf, src, "one-shot rollback");
+  transposer<double>{plan}(buf.data());
+  expect_transposed(buf, src, m, n, "one-shot rerun");
 }
 
 // --- the OOM degradation ladder ----------------------------------------------
@@ -1151,6 +1151,35 @@ TEST(PermFailure, OomLadderWalksGenericRungsAndStaysExact) {
     EXPECT_EQ(p.plan().rung, scratch_rung::cycle_follow);
     p.execute(run.data(), std::span<const std::uint32_t>(pi), false);
     expect_same(run, want, "cycle_follow rung");
+  }
+}
+
+TEST(PermFailure, NonBijectionThrowsAndRestoresOnEveryGenericRung) {
+  // Slot 2 is hit by no index and slot 0 by two; slot 2 feeds the (0 1)
+  // cycle, so the leader-min scan never walks past its step bound and
+  // must notice the uncovered slot instead.
+  const std::vector<std::uint32_t> pi = {1, 0, 0, 3, 4};
+  const std::vector<int> src = {10, 20, 30, 40, 50};
+  const perm_plan plan = make_perm_plan<std::uint32_t>(
+      std::span<const std::uint32_t>(pi), false, options{}, sizeof(int));
+  ASSERT_EQ(plan.kind, perm_kind::generic);
+  for (int denied = 0; denied <= 2; ++denied) {
+    auto run = src;
+    std::optional<permuter<int>> p;
+    {
+      std::optional<fp::scoped_trigger> deny;  // count 0 would mean "always"
+      if (denied > 0) {
+        deny.emplace("perm.exec.alloc", fp::mode::oom, /*skip=*/0,
+                     /*count=*/denied);
+      }
+      p.emplace(plan, options{}, run.data());
+    }
+    EXPECT_EQ(p->plan().rung, static_cast<scratch_rung>(denied));
+    EXPECT_THROW(p->execute(run.data(), std::span<const std::uint32_t>(pi),
+                            false),
+                 error)
+        << rung_name(p->plan().rung);
+    expect_same(run, src, rung_name(p->plan().rung));
   }
 }
 

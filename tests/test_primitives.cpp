@@ -3,18 +3,23 @@
 // column gathers, cycle discovery and replay, coarse/fine/naive rotation
 // equivalence, the window-normalization logic, and the fallback path for
 // amount functions that violate the sub-row window assumption, and the
-// strided sub-row sweeps with a real kernel set and their prefetch window.
+// strided sub-row sweeps with a real kernel set and their prefetch window,
+// and the cycle walker (core/cycles.hpp) on every rung.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <new>
 #include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "core/cycles.hpp"
 #include "core/permute.hpp"
 #include "core/rotate.hpp"
+#include "core/tensor_nd.hpp"
 #include "cpu/kernels/kernel_set.hpp"
 #include "util/aligned.hpp"
 #include "util/matrix.hpp"
@@ -405,6 +410,266 @@ TYPED_TEST(StridedSweeps, CoarseRotateMatchesNaive) {
           }
         }
       }
+    }
+  }
+}
+
+// --- the cycle walker (core/cycles.hpp) -------------------------------------
+//
+// Every rung x form x chunk width x element type against an out-of-place
+// reference, over grid, random and rotation-by-one maps tabulated so the
+// reference and the walker read the same map.
+
+// Scratch on the requested rung: the fire hook refuses the rungs above it
+// with std::bad_alloc, exactly as an allocator under pressure would.
+template <typename T>
+cycle_scratch<T> scratch_on(scratch_rung rung, std::uint64_t slots,
+                            std::uint64_t buf_elems) {
+  const int refuse = static_cast<int>(rung);
+  int fired = 0;
+  cycle_scratch<T> s = acquire_cycle_scratch<T>(slots, buf_elems, [&] {
+    if (fired++ < refuse) {
+      throw std::bad_alloc();
+    }
+  });
+  EXPECT_EQ(s.rung, rung);
+  EXPECT_EQ(fired, std::min(refuse + 1, 2)) << "one fire per allocating rung";
+  return s;
+}
+
+struct table_index {
+  const std::vector<std::uint64_t>* p;
+  std::uint64_t operator()(std::uint64_t i) const { return (*p)[i]; }
+};
+
+struct walker_map {
+  std::string name;
+  std::vector<std::uint64_t> p;
+  std::uint64_t rows = 0;  ///< grid maps: the grid the table came from
+  std::uint64_t cols = 0;
+};
+
+// Rotation-by-one and random maps at 0, 1, 2 and odd slot counts, plus the
+// tensor chunk pass's grid map (checked against its closed form).
+std::vector<walker_map> walker_maps() {
+  std::vector<walker_map> maps;
+  for (const std::uint64_t slots : {0u, 1u, 2u, 7u, 31u, 101u}) {
+    walker_map rot{"rotation-by-one/" + std::to_string(slots), {}};
+    walker_map rnd{"random/" + std::to_string(slots), {}};
+    for (std::uint64_t i = 0; i < slots; ++i) {
+      rot.p.push_back((i + 1) % slots);
+      rnd.p.push_back(i);
+    }
+    util::xoshiro256 rng(slots + 1);
+    for (std::uint64_t i = slots; i > 1; --i) {
+      std::swap(rnd.p[i - 1], rnd.p[rng.uniform(0, i)]);
+    }
+    maps.push_back(std::move(rot));
+    maps.push_back(std::move(rnd));
+  }
+  const std::uint64_t shapes[][2] = {{1, 1}, {1, 2}, {2, 1}, {3, 5},
+                                     {7, 3}, {4, 4}, {9, 11}};
+  for (const auto& rc : shapes) {
+    const std::uint64_t rows = rc[0];
+    const std::uint64_t cols = rc[1];
+    const grid_transpose_index grid(rows, cols);
+    walker_map g{"grid/" + std::to_string(rows) + "x" + std::to_string(cols),
+                 {}, rows, cols};
+    for (std::uint64_t w = 0; w < rows * cols; ++w) {
+      g.p.push_back(grid(w));
+    }
+    // Block (i, j) lands in slot j*rows + i: the gather source of that
+    // slot is i*cols + j.
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      for (std::uint64_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(g.p[j * rows + i], i * cols + j) << g.name;
+      }
+    }
+    maps.push_back(std::move(g));
+  }
+  return maps;
+}
+
+template <typename T>
+std::vector<T> reference_cycles(const std::vector<T>& in,
+                                const std::vector<std::uint64_t>& p,
+                                std::uint64_t chunk, cycle_form form) {
+  std::vector<T> out(in.size());
+  for (std::uint64_t w = 0; w < p.size(); ++w) {
+    for (std::uint64_t off = 0; off < chunk; ++off) {
+      if (form == cycle_form::gather) {
+        out[w * chunk + off] = in[p[w] * chunk + off];
+      } else {
+        out[p[w] * chunk + off] = in[w * chunk + off];
+      }
+    }
+  }
+  return out;
+}
+
+constexpr scratch_rung kRungs[] = {scratch_rung::full, scratch_rung::reduced,
+                                   scratch_rung::cycle_follow};
+constexpr cycle_form kForms[] = {cycle_form::gather, cycle_form::scatter};
+
+template <typename T>
+class Cycles : public ::testing::Test {};
+TYPED_TEST_SUITE(Cycles, SweepTypes);
+
+TYPED_TEST(Cycles, EveryRungFormAndChunkWidthMatchesTheReference) {
+  using T = TypeParam;
+  // Portable moves, then each real kernel set with streaming off and on.
+  std::vector<std::pair<const kernels::kernel_set*, bool>> movers{
+      {nullptr, false}};
+  for (const kernels::kernel_set* ks : real_kernel_sets()) {
+    movers.emplace_back(ks, false);
+    movers.emplace_back(ks, true);
+  }
+  for (const walker_map& map : walker_maps()) {
+    const std::uint64_t slots = map.p.size();
+    for (const std::uint64_t chunk : {1u, 3u, 16u}) {
+      const auto src = index_matrix<T>(slots, chunk);
+      for (const cycle_form form : kForms) {
+        const auto want = reference_cycles(src, map.p, chunk, form);
+        for (const scratch_rung rung : kRungs) {
+          // The marks rungs run with and without the chunk buffer; the
+          // cycle_follow rung never has one.
+          for (const bool buffered : {false, true}) {
+            if (buffered && rung == scratch_rung::cycle_follow) {
+              continue;
+            }
+            auto s = scratch_on<T>(rung, slots, buffered ? chunk : 0);
+            for (const auto& [ks, stream] : movers) {
+              auto a = src;
+              const cycle_move<T> mv{a.data(), chunk,
+                                     buffered ? s.buf.data() : nullptr, ks,
+                                     stream};
+              permute_cycles(mv, slots, table_index{&map.p}, s, form);
+              ASSERT_TRUE(a == want)
+                  << map.name << " chunk=" << chunk << " form="
+                  << (form == cycle_form::gather ? "gather" : "scatter")
+                  << " rung=" << rung_name(rung) << " buffered=" << buffered
+                  << " tier=" << (ks ? kernels::tier_name(ks->t) : "none")
+                  << " stream=" << stream;
+              if (map.rows == 0) {
+                continue;
+              }
+              // The grid map itself declares it is a bijection, which on
+              // the byte map takes the walk that marks while it moves.
+              auto g = src;
+              const cycle_move<T> gm{g.data(), chunk,
+                                     buffered ? s.buf.data() : nullptr, ks,
+                                     stream};
+              permute_cycles(gm, slots,
+                             grid_transpose_index(map.rows, map.cols), s,
+                             form);
+              ASSERT_TRUE(g == want)
+                  << map.name << " (grid functor) chunk=" << chunk
+                  << " rung=" << rung_name(rung) << " buffered=" << buffered;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(Cycles, NonBijectionThrowsBeforeTheBadCycleMoves) {
+  using T = TypeParam;
+  // Slots 0..5 form one good cycle in both maps.  In `loop`, 6 -> 7 ->
+  // ... -> 11 -> 7 never returns to 6, so the walk from 6 passes the step
+  // bound.  In `tail`, slot i >= 6 feeds slot i - 6 of the good cycle: on
+  // the no-marks rung no walk from 6..11 outlasts the bound (each meets a
+  // smaller member), so the uncovered slots must throw after the scan.
+  // Either way slots 6..11 stay untouched.
+  std::vector<std::uint64_t> loop(12);
+  std::vector<std::uint64_t> tail(12);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    loop[i] = i < 6 ? (i + 1) % 6 : (i == 11 ? 7 : i + 1);
+    tail[i] = i < 6 ? (i + 1) % 6 : i - 6;
+  }
+  for (const auto* p : {&loop, &tail}) {
+    for (const std::uint64_t chunk : {1u, 3u}) {
+      const auto src = index_matrix<T>(12, chunk);
+      for (const cycle_form form : kForms) {
+        for (const scratch_rung rung : kRungs) {
+          auto s = scratch_on<T>(rung, 12, chunk);
+          auto a = src;
+          const cycle_move<T> mv{a.data(), chunk,
+                                 s.buf.empty() ? nullptr : s.buf.data()};
+          EXPECT_THROW(permute_cycles(mv, 12, table_index{p}, s, form),
+                       inplace::error)
+              << (p == &loop ? "loop" : "tail") << " " << rung_name(rung);
+          for (std::uint64_t e = 6 * chunk; e < 12 * chunk; ++e) {
+            ASSERT_TRUE(a[e] == src[e])
+                << (p == &loop ? "loop" : "tail") << ": bad-slot element "
+                << e << " moved on rung " << rung_name(rung);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Cycles, EveryRungYieldsTheSameAscendingCycleMinima) {
+  for (const walker_map& map : walker_maps()) {
+    const std::uint64_t slots = map.p.size();
+    // Brute force: the minimum of every cycle longer than one.
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t y = 0; y < slots; ++y) {
+      std::uint64_t lo = y;
+      std::uint64_t len = 1;
+      for (std::uint64_t i = map.p[y]; i != y; i = map.p[i], ++len) {
+        lo = std::min(lo, i);
+      }
+      if (len > 1 && lo == y) {
+        want.push_back(y);
+      }
+    }
+    for (const scratch_rung rung : kRungs) {
+      auto s = scratch_on<std::uint32_t>(rung, slots, 0);
+      std::vector<std::uint64_t> got;
+      for_each_cycle_leader(slots, table_index{&map.p}, s,
+                            [&](std::uint64_t y) { got.push_back(y); });
+      EXPECT_EQ(got, want) << map.name << " rung=" << rung_name(rung);
+    }
+  }
+}
+
+// The 2-D last rung's index map at shapes whose (mn - 1) * max(m, n)
+// passes 2^64: a 64-bit product would wrap and name the wrong source.
+// Only the functor runs — no buffer is allocated.
+TEST(Cycles, TransposeIndexTakesItsProductIn128Bits) {
+  using u128 = __uint128_t;
+  const std::uint64_t shapes[][2] = {
+      {8, std::uint64_t{1} << 31},
+      {std::uint64_t{1} << 31, 8},
+      {3, (std::uint64_t{1} << 62) + 1},
+      {0xFFFFFFFFu, 0xFFFFFFFFu},
+      {2, (std::uint64_t{1} << 63) - 1},
+  };
+  util::xoshiro256 rng(64);
+  for (const auto& mn : shapes) {
+    const std::uint64_t m = mn[0];
+    const std::uint64_t n = mn[1];
+    const std::uint64_t wrap = m * n - 1;
+    ASSERT_EQ(u128{m} * n - 1, u128{wrap}) << "shape must address in 64 bits";
+    ASSERT_GE(u128{wrap} * std::max(m, n), u128{1} << 64);
+    const transpose_cycle_index c2r(m, n, direction::c2r);
+    const transpose_cycle_index r2c(m, n, direction::r2c);
+    std::vector<std::uint64_t> ls{0, 1, 2, 3, wrap / 2, wrap - 2, wrap - 1,
+                                  wrap};
+    for (int k = 0; k < 256; ++k) {
+      ls.push_back(rng.uniform(0, wrap));
+    }
+    for (const std::uint64_t l : ls) {
+      const std::uint64_t want_c2r =
+          l == wrap ? l : static_cast<std::uint64_t>(u128{l} * n % wrap);
+      const std::uint64_t want_r2c =
+          l == wrap ? l : static_cast<std::uint64_t>(u128{l} * m % wrap);
+      ASSERT_EQ(c2r(l), want_c2r) << m << "x" << n << " l=" << l;
+      ASSERT_EQ(r2c(l), want_r2c) << m << "x" << n << " l=" << l;
+      // The two directions are mutual inverses (n*m = 1 mod mn-1).
+      ASSERT_EQ(r2c(c2r(l)), l) << m << "x" << n << " l=" << l;
     }
   }
 }

@@ -151,7 +151,7 @@ TEST(Telemetry, ClearResetsEverything) {
 
 // Regression: the degenerate-shape early return used to skip the
 // telemetry hooks entirely, so 1 x n / m x 1 calls vanished from bench
-// JSON.  Every execution path — the one-shot detail::execute_plan, the
+// JSON.  Every execution path — a one-shot transposer<T>{plan}(data), a
 // plan-reusing transposer, and the context route — must record the plan
 // and a total span even when there is no data movement to do.
 TEST(Telemetry, DegenerateShapesStillRecordPlanAndTotalSpan) {
@@ -164,7 +164,7 @@ TEST(Telemetry, DegenerateShapesStillRecordPlanAndTotalSpan) {
 
   transposer<float> tr(1, n);
   tr(row.data());                               // executor path
-  detail::execute_plan(row.data(), tr.plan());  // one-shot path
+  transposer<float>{tr.plan()}(row.data());     // one-shot path
   transpose_context ctx;
   ctx.transpose(row.data(), n, 1);              // context path
   EXPECT_EQ(row, before);  // a vector transposes to itself

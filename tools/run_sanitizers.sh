@@ -56,7 +56,7 @@ run_matrix_entry() {
   echo "=== [$name] ctest engines, INPLACE_FORCE_KERNEL_TIER=scalar"
   (cd "$build_dir" && INPLACE_FORCE_KERNEL_TIER=scalar \
      ctest --output-on-failure -j "$jobs" \
-           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|PermPlan|PermClassifier|Tensor')
+           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|PermPlan|PermClassifier|Tensor|Cycles')
 
   # Mirror pass with the in-register tile tier forced: every eligible
   # skinny plan routes through the vpunpck/vpermd ladders and their fused
@@ -65,7 +65,7 @@ run_matrix_entry() {
   echo "=== [$name] ctest engines, INPLACE_FORCE_KERNEL_TIER=inreg"
   (cd "$build_dir" && INPLACE_FORCE_KERNEL_TIER=inreg \
      ctest --output-on-failure -j "$jobs" \
-           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|PermPlan|PermClassifier|Tensor')
+           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|PermPlan|PermClassifier|Tensor|Cycles')
 
   # Third pass — failure semantics under injection: the whole process runs
   # with the OOM ladder env-forced off its first rung while the suite's own
@@ -126,7 +126,7 @@ for entry in asan ubsan tsan tsa; do
     tsan)
       TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp:history_size=7" \
         run_matrix_entry tsan thread \
-        'Integration|Transpose|Executor|Skinny|Threading|Context|Kernel|permcheck|Async|ArenaConsistency|Sched|soak_smoke|Permute|PermPlan|PermClassifier|Tensor' \
+        'Integration|Transpose|Executor|Skinny|Threading|Context|Kernel|permcheck|Async|ArenaConsistency|Sched|soak_smoke|Permute|PermPlan|PermClassifier|Tensor|Cycles' \
         || status=1
       ;;
     tsa)
